@@ -73,7 +73,8 @@ Timings run_gdp(bool edge, std::size_t model_bytes, std::uint64_t seed) {
   }
   s.attach_all();
 
-  auto fs = caapi::GdpFilesystem::create(s, *client, {server}, "models");
+  auto fs = caapi::GdpFilesystem::mount(
+      caapi::Mount::create(s, *client, {server}, "models"));
   if (!fs.ok()) std::abort();
 
   Rng data_rng(seed);

@@ -33,8 +33,8 @@ int main() {
   s.attach_all();
 
   // --- 1. The general-purpose model is published in the cloud, world-readable.
-  auto model_fs =
-      caapi::GdpFilesystem::create(s, *trainer, {cloud_srv}, "model-repo");
+  auto model_fs = caapi::GdpFilesystem::mount(
+      caapi::Mount::create(s, *trainer, {cloud_srv}, "model-repo"));
   if (!model_fs.ok()) return 1;
   Rng data_rng(3);
   Bytes general_model = data_rng.next_bytes(512 * 1024);  // 512 kB demo model

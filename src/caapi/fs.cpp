@@ -114,17 +114,6 @@ Result<GdpFilesystem> GdpFilesystem::mount(const Mount& m,
   return fs;
 }
 
-Result<GdpFilesystem> GdpFilesystem::create(harness::Scenario& scenario,
-                                            client::GdpClient& client,
-                                            std::vector<server::CapsuleServer*> servers,
-                                            const std::string& label,
-                                            Options options) {
-  MountOptions mo;
-  mo.chunk_bytes = options.chunk_bytes;
-  mo.required_acks = options.required_acks;
-  return mount(Mount::create(scenario, client, std::move(servers), label, mo));
-}
-
 Result<capsule::WriterCredential> GdpFilesystem::grant_writer(
     const crypto::PublicKey& writer, const std::string& branch) const {
   if (!owner_key_) {
@@ -299,11 +288,6 @@ Status GdpFilesystem::refresh() {
   return ok_status();
 }
 
-Status GdpFilesystem::refresh_if_tip_aware() {
-  if (!options_.tip_aware_reads) return ok_status();
-  return refresh();
-}
-
 // ---- Mutations ------------------------------------------------------------------
 
 Status GdpFilesystem::commit_record(const DirRecord& rec) {
@@ -362,7 +346,7 @@ Status GdpFilesystem::write_file(const std::string& path, BytesView content) {
 }
 
 Result<Bytes> GdpFilesystem::read_file(const std::string& path) {
-  GDP_RETURN_IF_ERROR(refresh_if_tip_aware());
+  GDP_RETURN_IF_ERROR(refresh());
   auto it = tree_.find(path);
   if (it == tree_.end() || !it->second.file.has_value()) {
     return make_error(Errc::kNotFound, "no such file: " + path);
@@ -388,7 +372,7 @@ Status GdpFilesystem::mkdir(const std::string& path) {
 }
 
 Status GdpFilesystem::rename(const std::string& from, const std::string& to) {
-  GDP_RETURN_IF_ERROR(refresh_if_tip_aware());
+  GDP_RETURN_IF_ERROR(refresh());
   if (!tree_.contains(from)) {
     return make_error(Errc::kNotFound, "no such path: " + from);
   }
@@ -402,7 +386,7 @@ Status GdpFilesystem::rename(const std::string& from, const std::string& to) {
 }
 
 Status GdpFilesystem::set_attr(const std::string& path, const std::string& value) {
-  GDP_RETURN_IF_ERROR(refresh_if_tip_aware());
+  GDP_RETURN_IF_ERROR(refresh());
   if (!tree_.contains(path)) {
     return make_error(Errc::kNotFound, "no such path: " + path);
   }
@@ -416,7 +400,7 @@ Status GdpFilesystem::set_attr(const std::string& path, const std::string& value
 }
 
 Status GdpFilesystem::remove(const std::string& path) {
-  GDP_RETURN_IF_ERROR(refresh_if_tip_aware());
+  GDP_RETURN_IF_ERROR(refresh());
   if (!tree_.contains(path)) {
     return make_error(Errc::kNotFound, "no such path: " + path);
   }
@@ -433,7 +417,7 @@ Status GdpFilesystem::remove(const std::string& path) {
 std::vector<std::string> GdpFilesystem::list() {
   // Best effort: a partitioned replica set serves the last known view
   // rather than failing a directory listing.
-  (void)refresh_if_tip_aware();
+  (void)refresh();
   std::vector<std::string> out;
   out.reserve(tree_.size());
   for (const auto& [path, _] : tree_) out.push_back(path);
@@ -441,7 +425,7 @@ std::vector<std::string> GdpFilesystem::list() {
 }
 
 bool GdpFilesystem::exists(const std::string& path) {
-  (void)refresh_if_tip_aware();
+  (void)refresh();
   return tree_.contains(path);
 }
 

@@ -67,13 +67,6 @@ class GdpFilesystem {
     kBlind = 1,  ///< unconditional branch appends, merged at replay
   };
 
-  /// Deprecated knob bag — kept so `create(...)` shims keep compiling;
-  /// new code passes MountOptions through Mount.
-  struct Options {
-    std::size_t chunk_bytes = 256 * 1024;
-    std::uint32_t required_acks = 1;
-  };
-
   struct FileEntry {
     capsule::Metadata metadata;  ///< the file capsule (self-authenticating)
     std::uint64_t chunk_count = 0;
@@ -100,18 +93,6 @@ class GdpFilesystem {
                                      capsule::WriterCredential credential,
                                      crypto::PrivateKey writer_key);
 
-  /// Deprecated shims over mount() — the pre-Mount entry points.
-  static Result<GdpFilesystem> create(harness::Scenario& scenario,
-                                      client::GdpClient& client,
-                                      std::vector<server::CapsuleServer*> servers,
-                                      const std::string& label, Options options);
-  static Result<GdpFilesystem> create(harness::Scenario& scenario,
-                                      client::GdpClient& client,
-                                      std::vector<server::CapsuleServer*> servers,
-                                      const std::string& label) {
-    return create(scenario, client, std::move(servers), label, Options{});
-  }
-
   /// Owner-only: delegate write authority over the directory capsule to
   /// another writer key, as a time-bounded branch credential the grantee
   /// passes to mount().
@@ -123,8 +104,8 @@ class GdpFilesystem {
   Status write_file(const std::string& path, BytesView content);
 
   /// Verified read of the whole file.  Tip-aware: refreshes the
-  /// directory view first (per MountOptions::tip_aware_reads), so a file
-  /// committed by another client is readable without refresh().
+  /// directory view first, so a file committed by another client is
+  /// readable without refresh().
   Result<Bytes> read_file(const std::string& path);
 
   Status mkdir(const std::string& path);
@@ -132,9 +113,8 @@ class GdpFilesystem {
   Status set_attr(const std::string& path, const std::string& value);
   Status remove(const std::string& path);
 
-  /// Tip-aware listing / existence check (auto-refresh under
-  /// tip_aware_reads; best-effort — serves the last known view if the
-  /// refresh cannot reach a replica).
+  /// Tip-aware listing / existence check (refreshes first; best-effort —
+  /// serves the last known view if the refresh cannot reach a replica).
   std::vector<std::string> list();
   bool exists(const std::string& path);
 
@@ -171,7 +151,6 @@ class GdpFilesystem {
   GdpFilesystem(const Mount& m, capsule::Metadata dir_metadata);
 
   Status commit_record(const DirRecord& rec);
-  Status refresh_if_tip_aware();
   /// Applies one decoded DirRecord to `tree` (merge-order semantics).
   static void apply(std::map<std::string, Node>& tree, const DirRecord& rec);
   static Status replay(const capsule::Metadata& metadata,

@@ -22,28 +22,11 @@ namespace gdp::caapi {
 
 class GdpKvStore {
  public:
-  struct Options {
-    std::uint64_t checkpoint_interval = 16;  ///< ops between snapshots
-    std::uint32_t required_acks = 1;
-  };
-
   /// Shared CAAPI entry point.  Create-new mints keys and places a fresh
   /// kv capsule; open-existing attaches a *read-only* recovered view of
   /// another writer's capsule (puts/dels fail with kPermissionDenied —
   /// the kv capsule is strict-single-writer).
   static Result<GdpKvStore> mount(const Mount& m);
-
-  /// Deprecated shims over mount() — the pre-Mount entry points.
-  static Result<GdpKvStore> create(harness::Scenario& scenario,
-                                   client::GdpClient& client,
-                                   std::vector<server::CapsuleServer*> servers,
-                                   const std::string& label, Options options);
-  static Result<GdpKvStore> create(harness::Scenario& scenario,
-                                   client::GdpClient& client,
-                                   std::vector<server::CapsuleServer*> servers,
-                                   const std::string& label) {
-    return create(scenario, client, std::move(servers), label, Options{});
-  }
 
   Status put(const std::string& key, const std::string& value);
   Status del(const std::string& key);
@@ -59,7 +42,7 @@ class GdpKvStore {
 
  private:
   GdpKvStore(harness::Scenario& scenario, client::GdpClient& client,
-             Options options, harness::CapsuleSetup setup,
+             MountOptions options, harness::CapsuleSetup setup,
              std::optional<capsule::Writer> writer);
 
   Status append_op(Bytes payload);
@@ -68,7 +51,7 @@ class GdpKvStore {
 
   harness::Scenario& scenario_;
   client::GdpClient& client_;
-  Options options_;
+  MountOptions options_;
   harness::CapsuleSetup setup_;
   std::optional<capsule::Writer> writer_;  ///< absent on read-only mounts
   std::map<std::string, std::string> map_;

@@ -1,6 +1,6 @@
 #include "client/client.hpp"
 
-#include <algorithm>
+#include <type_traits>
 
 #include "common/log.hpp"
 #include "crypto/hmac.hpp"
@@ -35,60 +35,92 @@ GdpClient::GdpClient(net::Network& net, const crypto::PrivateKey& key,
   };
 }
 
+namespace {
+
+/// The reply as the type the op expects, or why it cannot be used.
+template <typename Msg>
+Result<const Msg*> expect(const Result<ServerReply>& reply) {
+  if (!reply.ok()) return reply.error();
+  if (const Msg* msg = std::get_if<Msg>(&*reply)) return msg;
+  return make_error(Errc::kVerificationFailed, "unexpected response type");
+}
+
+/// Create and subscribe replies: a plain status.
+Status status_of(const Result<ServerReply>& reply) {
+  GDP_ASSIGN_OR_RETURN(const wire::StatusMsg* status, expect<wire::StatusMsg>(reply));
+  if (!status->ok) {
+    return make_error(static_cast<Errc>(status->code), status->message);
+  }
+  return ok_status();
+}
+
+/// The ack checks shared by append and the compare-and-append win path.
+Result<const wire::AppendAckMsg*> checked_ack(const Result<ServerReply>& reply,
+                                              const Name& expected_hash,
+                                              const std::string& what) {
+  GDP_ASSIGN_OR_RETURN(const wire::AppendAckMsg* ack,
+                       expect<wire::AppendAckMsg>(reply));
+  if (ack->record_hash != expected_hash) {
+    return make_error(Errc::kVerificationFailed, "ack attests a different record");
+  }
+  if (!ack->ok) {
+    return make_error(Errc::kUnavailable, what + " rejected: " + ack->error);
+  }
+  return ack;
+}
+
+}  // namespace
+
 Bytes GdpClient::session_pubkey_for_request() const {
   if (!options_.use_sessions) return {};
   return session_key_.public_key().encode();
 }
 
-void GdpClient::register_pending(std::uint64_t nonce,
-                                 std::function<void(const wire::Pdu&)> handler,
-                                 std::function<void()> on_timeout) {
+template <typename Req, typename T>
+void GdpClient::request(const Name& dst, wire::MsgType type, Req msg,
+                        std::shared_ptr<const capsule::Metadata> authority,
+                        const OpPtr<T>& op, std::string what, ReplyHandler on_reply,
+                        std::function<bool()> retry) {
+  const std::uint64_t nonce = next_nonce_++;
+  msg.nonce = nonce;
+  if constexpr (requires { msg.session_pubkey; }) {
+    msg.session_pubkey = session_pubkey_for_request();
+  }
   ops_started_.inc();
   auto timer = net_.sim().schedule_cancellable(
-      options_.op_timeout, [this, nonce, on_timeout = std::move(on_timeout)] {
+      options_.op_timeout,
+      [this, nonce, op, what = std::move(what), retry = std::move(retry)] {
         auto it = pending_.find(nonce);
         if (it == pending_.end()) return;
         pending_.erase(it);
         ops_timed_out_.inc();
-        on_timeout();
+        if (retry && retry()) return;
+        op->timed_out = true;
+        op->resolve(make_error(Errc::kUnavailable, what + " timed out"));
       });
-  pending_[nonce] =
-      PendingRequest{std::move(handler), std::move(timer), net_.sim().now()};
-}
-
-std::optional<std::function<void(const wire::Pdu&)>> GdpClient::take_pending(
-    std::uint64_t nonce) {
-  auto it = pending_.find(nonce);
-  if (it == pending_.end()) return std::nullopt;
-  it->second.timeout.cancel();
-  op_latency_ns_.record(
-      static_cast<std::uint64_t>((net_.sim().now() - it->second.started).count()));
-  auto handler = std::move(it->second.handler);
-  pending_.erase(it);
-  return handler;
+  pending_[nonce] = PendingRequest{std::move(authority), std::move(on_reply),
+                                   std::move(timer), net_.sim().now()};
+  send_pdu(dst, type, msg.serialize());
 }
 
 // ---- Response authentication --------------------------------------------------
 
 Status GdpClient::verify_response_auth(const Name& responding_server,
-                                       const Name& capsule, BytesView body,
-                                       const wire::ResponseAuth& auth,
-                                       BytesView principal_bytes,
-                                       BytesView delegation_bytes,
+                                       BytesView body,
+                                       const wire::SecureResponse& trailer,
                                        const capsule::Metadata* metadata) {
-  (void)capsule;
   // Evidence handling: a principal (and, when hosted, the delegation
   // chain) rides along on first contact or in sessionless mode.
-  if (!principal_bytes.empty()) {
+  if (!trailer.server_principal.empty()) {
     GDP_ASSIGN_OR_RETURN(trust::Principal principal,
-                         trust::Principal::deserialize(principal_bytes));
+                         trust::Principal::deserialize(trailer.server_principal));
     if (principal.name() != responding_server) {
       return make_error(Errc::kVerificationFailed,
                         "response evidence names a different server");
     }
-    if (!delegation_bytes.empty() && metadata != nullptr) {
+    if (!trailer.delegation.empty() && metadata != nullptr) {
       GDP_ASSIGN_OR_RETURN(trust::ServingDelegation delegation,
-                           trust::ServingDelegation::deserialize(delegation_bytes));
+                           trust::ServingDelegation::deserialize(trailer.delegation));
       GDP_RETURN_IF_ERROR(trust::verify_serving_delegation(
           *metadata, principal, delegation, net_.sim().now()));
       known_servers_.insert_or_assign(principal.name(), principal);
@@ -98,14 +130,14 @@ Status GdpClient::verify_response_auth(const Name& responding_server,
     }
   }
 
-  switch (auth.kind) {
+  switch (trailer.auth.kind) {
     case wire::ResponseAuth::Kind::kSignature: {
       auto it = known_servers_.find(responding_server);
       if (it == known_servers_.end()) {
         return make_error(Errc::kVerificationFailed,
                           "signed response from an unverified server");
       }
-      auto sig = crypto::Signature::decode(auth.bytes);
+      auto sig = crypto::Signature::decode(trailer.auth.bytes);
       if (!sig || !it->second.key().verify(body, *sig)) {
         return make_error(Errc::kVerificationFailed, "response signature invalid");
       }
@@ -126,7 +158,7 @@ Status GdpClient::verify_response_auth(const Name& responding_server,
       }
       if (!crypto::hmac_verify(
               BytesView(key_it->second.data(), key_it->second.size()), body,
-              auth.bytes)) {
+              trailer.auth.bytes)) {
         return make_error(Errc::kVerificationFailed, "response HMAC invalid");
       }
       return ok_status();
@@ -148,27 +180,15 @@ OpPtr<bool> GdpClient::create_capsule(const Name& server,
   msg.metadata = metadata.serialize();
   msg.delegation = delegation.serialize();
   msg.replica_peers = std::move(replica_peers);
-  msg.nonce = next_nonce_++;
-
-  register_pending(
-      msg.nonce,
-      [op](const wire::Pdu& pdu) {
-        auto status = wire::StatusMsg::deserialize(pdu.payload);
-        if (!status.ok()) {
-          op->resolve(status.error());
-          return;
-        }
-        if (!status->ok) {
-          op->resolve(make_error(static_cast<Errc>(status->code), status->message));
-          return;
-        }
-        op->resolve(true);
-      },
-      [op] {
-        op->timed_out = true;
-        op->resolve(make_error(Errc::kUnavailable, "create_capsule timed out"));
-      });
-  send_pdu(server, wire::MsgType::kCreateCapsule, msg.serialize());
+  request(server, wire::MsgType::kCreateCapsule, std::move(msg), nullptr, op,
+          "create_capsule", [op](Result<ServerReply> reply, const wire::Pdu&) {
+            Status status = status_of(reply);
+            if (!status.ok()) {
+              op->resolve(status.error());
+              return;
+            }
+            op->resolve(true);
+          });
   return op;
 }
 
@@ -186,47 +206,23 @@ OpPtr<AppendOutcome> GdpClient::append_record(const capsule::Metadata& metadata,
   msg.capsule = metadata.name();
   msg.record = record;
   msg.required_acks = required_acks;
-  msg.nonce = next_nonce_++;
-  msg.session_pubkey = session_pubkey_for_request();
-
-  const Name expected_hash = record.hash();
-  capsule::Metadata meta_copy = metadata;
-  auto append_handler = [this, op, expected_hash,
-                         meta_copy = std::move(meta_copy)](const wire::Pdu& pdu) {
-    auto ack = wire::AppendAckMsg::deserialize(pdu.payload);
-    if (!ack.ok()) {
-      op->resolve(ack.error());
-      return;
-    }
-    Status auth_ok = verify_response_auth(pdu.src, ack->capsule, ack->signed_body(),
-                                          ack->auth, ack->server_principal,
-                                          ack->delegation, &meta_copy);
-    if (!auth_ok.ok()) {
-      op->resolve(auth_ok.error());
-      return;
-    }
-    if (ack->record_hash != expected_hash) {
-      op->resolve(make_error(Errc::kVerificationFailed,
-                             "ack attests a different record"));
-      return;
-    }
-    if (!ack->ok) {
-      op->resolve(make_error(Errc::kUnavailable, "append rejected: " + ack->error));
-      return;
-    }
-    AppendOutcome out;
-    out.seqno = ack->seqno;
-    out.record_hash = ack->record_hash;
-    out.acks = ack->acks;
-    out.via_hmac = ack->auth.kind == wire::ResponseAuth::Kind::kHmac;
-    out.ack_bytes = pdu.payload.size();
-    op->resolve(out);
-  };
-  register_pending(msg.nonce, std::move(append_handler), [op] {
-    op->timed_out = true;
-    op->resolve(make_error(Errc::kUnavailable, "append timed out"));
-  });
-  send_pdu(metadata.name(), wire::MsgType::kAppend, msg.serialize());
+  request(metadata.name(), wire::MsgType::kAppend, std::move(msg),
+          std::make_shared<const capsule::Metadata>(metadata), op, "append",
+          [op, expected_hash = record.hash()](Result<ServerReply> reply,
+                                              const wire::Pdu& pdu) {
+            auto ack = checked_ack(reply, expected_hash, "append");
+            if (!ack.ok()) {
+              op->resolve(ack.error());
+              return;
+            }
+            AppendOutcome out;
+            out.seqno = (*ack)->seqno;
+            out.record_hash = (*ack)->record_hash;
+            out.acks = (*ack)->acks;
+            out.via_hmac = (*ack)->auth.kind == wire::ResponseAuth::Kind::kHmac;
+            out.ack_bytes = pdu.payload.size();
+            op->resolve(out);
+          });
   return op;
 }
 
@@ -244,72 +240,35 @@ OpPtr<CasOutcome> GdpClient::cond_append(const capsule::Metadata& metadata,
   msg.expected_tip_hash = expected_tip_hash;
   msg.required_acks = required_acks;
   msg.lease_id = lease_id;
-  msg.nonce = next_nonce_++;
-  msg.session_pubkey = session_pubkey_for_request();
-
-  const Name expected_hash = record.hash();
-  capsule::Metadata meta_copy = metadata;
-  auto handler = [this, op, expected_hash,
-                  meta_copy = std::move(meta_copy)](const wire::Pdu& pdu) {
-    if (pdu.type == wire::MsgType::kCasNack) {
-      auto nack = wire::CasNackMsg::deserialize(pdu.payload);
-      if (!nack.ok()) {
-        op->resolve(nack.error());
-        return;
-      }
-      Status auth_ok = verify_response_auth(pdu.src, nack->capsule,
-                                            nack->signed_body(), nack->auth,
-                                            nack->server_principal,
-                                            nack->delegation, &meta_copy);
-      if (!auth_ok.ok()) {
-        op->resolve(auth_ok.error());
-        return;
-      }
-      CasOutcome out;
-      out.won = false;
-      out.code = static_cast<Errc>(nack->code);
-      out.tip_seqno = nack->tip_seqno;
-      out.tip_hash = nack->tip_hash;
-      out.lease_holder = nack->lease_holder;
-      out.lease_expires_ns = nack->lease_expires_ns;
-      op->resolve(out);
-      return;
-    }
-    // The win path acks exactly like a plain append.
-    auto ack = wire::AppendAckMsg::deserialize(pdu.payload);
-    if (!ack.ok()) {
-      op->resolve(ack.error());
-      return;
-    }
-    Status auth_ok = verify_response_auth(pdu.src, ack->capsule, ack->signed_body(),
-                                          ack->auth, ack->server_principal,
-                                          ack->delegation, &meta_copy);
-    if (!auth_ok.ok()) {
-      op->resolve(auth_ok.error());
-      return;
-    }
-    if (ack->record_hash != expected_hash) {
-      op->resolve(make_error(Errc::kVerificationFailed,
-                             "ack attests a different record"));
-      return;
-    }
-    if (!ack->ok) {
-      op->resolve(
-          make_error(Errc::kUnavailable, "cond_append rejected: " + ack->error));
-      return;
-    }
-    CasOutcome out;
-    out.won = true;
-    out.seqno = ack->seqno;
-    out.record_hash = ack->record_hash;
-    out.acks = ack->acks;
-    op->resolve(out);
-  };
-  register_pending(msg.nonce, std::move(handler), [op] {
-    op->timed_out = true;
-    op->resolve(make_error(Errc::kUnavailable, "cond_append timed out"));
-  });
-  send_pdu(metadata.name(), wire::MsgType::kCondAppend, msg.serialize());
+  request(metadata.name(), wire::MsgType::kCondAppend, std::move(msg),
+          std::make_shared<const capsule::Metadata>(metadata), op, "cond_append",
+          [op, expected_hash = record.hash()](Result<ServerReply> reply,
+                                              const wire::Pdu&) {
+            CasOutcome out;
+            const auto* nack =
+                reply.ok() ? std::get_if<wire::CasNackMsg>(&*reply) : nullptr;
+            if (nack != nullptr) {
+              out.won = false;
+              out.code = static_cast<Errc>(nack->code);
+              out.tip_seqno = nack->tip_seqno;
+              out.tip_hash = nack->tip_hash;
+              out.lease_holder = nack->lease_holder;
+              out.lease_expires_ns = nack->lease_expires_ns;
+              op->resolve(out);
+              return;
+            }
+            // The win path acks exactly like a plain append.
+            auto ack = checked_ack(reply, expected_hash, "cond_append");
+            if (!ack.ok()) {
+              op->resolve(ack.error());
+              return;
+            }
+            out.won = true;
+            out.seqno = (*ack)->seqno;
+            out.record_hash = (*ack)->record_hash;
+            out.acks = (*ack)->acks;
+            op->resolve(out);
+          });
   return op;
 }
 
@@ -324,39 +283,24 @@ OpPtr<LeaseOutcome> GdpClient::lease_request(const capsule::Metadata& metadata,
   msg.holder = name();
   msg.lease_id = lease_id;
   msg.duration_ns = duration.count();
-  msg.nonce = next_nonce_++;
-  msg.session_pubkey = session_pubkey_for_request();
-
-  capsule::Metadata meta_copy = metadata;
-  auto handler = [this, op, meta_copy = std::move(meta_copy)](const wire::Pdu& pdu) {
-    auto grant = wire::LeaseGrantMsg::deserialize(pdu.payload);
-    if (!grant.ok()) {
-      op->resolve(grant.error());
-      return;
-    }
-    Status auth_ok = verify_response_auth(pdu.src, grant->capsule,
-                                          grant->signed_body(), grant->auth,
-                                          grant->server_principal,
-                                          grant->delegation, &meta_copy);
-    if (!auth_ok.ok()) {
-      op->resolve(auth_ok.error());
-      return;
-    }
-    LeaseOutcome out;
-    out.granted = grant->ok;
-    out.code = static_cast<Errc>(grant->code);
-    out.lease_id = grant->lease_id;
-    out.holder = grant->holder;
-    out.expires_ns = grant->expires_ns;
-    out.tip_seqno = grant->tip_seqno;
-    out.tip_hash = grant->tip_hash;
-    op->resolve(out);
-  };
-  register_pending(msg.nonce, std::move(handler), [op] {
-    op->timed_out = true;
-    op->resolve(make_error(Errc::kUnavailable, "lease request timed out"));
-  });
-  send_pdu(metadata.name(), wire::MsgType::kLeaseRequest, msg.serialize());
+  request(metadata.name(), wire::MsgType::kLeaseRequest, std::move(msg),
+          std::make_shared<const capsule::Metadata>(metadata), op, "lease_request",
+          [op](Result<ServerReply> reply, const wire::Pdu&) {
+            auto grant = expect<wire::LeaseGrantMsg>(reply);
+            if (!grant.ok()) {
+              op->resolve(grant.error());
+              return;
+            }
+            LeaseOutcome out;
+            out.granted = (*grant)->ok;
+            out.code = static_cast<Errc>((*grant)->code);
+            out.lease_id = (*grant)->lease_id;
+            out.holder = (*grant)->holder;
+            out.expires_ns = (*grant)->expires_ns;
+            out.tip_seqno = (*grant)->tip_seqno;
+            out.tip_hash = (*grant)->tip_hash;
+            op->resolve(out);
+          });
   return op;
 }
 
@@ -377,25 +321,23 @@ OpPtr<LeaseOutcome> GdpClient::lease_release(const capsule::Metadata& metadata,
                        Duration::zero());
 }
 
-Result<ReadOutcome> GdpClient::parse_read_response(const wire::Pdu& pdu,
-                                                   const capsule::Metadata& metadata,
-                                                   std::uint64_t first,
-                                                   std::uint64_t last) {
-  GDP_ASSIGN_OR_RETURN(wire::ReadResponseMsg resp,
-                       wire::ReadResponseMsg::deserialize(pdu.payload));
-  GDP_RETURN_IF_ERROR(verify_response_auth(pdu.src, resp.capsule, resp.signed_body(),
-                                           resp.auth, resp.server_principal,
-                                           resp.delegation, &metadata));
-  if (!resp.ok) {
+Result<ReadOutcome> GdpClient::read_outcome(const Result<ServerReply>& reply,
+                                            const wire::Pdu& pdu,
+                                            const capsule::Metadata& metadata,
+                                            std::uint64_t first,
+                                            std::uint64_t last) {
+  GDP_ASSIGN_OR_RETURN(const wire::ReadResponseMsg* resp,
+                       expect<wire::ReadResponseMsg>(reply));
+  if (!resp->ok) {
     // The code rides inside the signed body, so an on-path attacker cannot
     // rewrite a permanent failure into a retryable shed (or vice versa).
-    if (static_cast<Errc>(resp.code) == Errc::kUnavailable) {
-      return make_error(Errc::kUnavailable, "read failed: " + resp.error);
+    if (static_cast<Errc>(resp->code) == Errc::kUnavailable) {
+      return make_error(Errc::kUnavailable, "read failed: " + resp->error);
     }
-    return make_error(Errc::kNotFound, "read failed: " + resp.error);
+    return make_error(Errc::kNotFound, "read failed: " + resp->error);
   }
-  GDP_ASSIGN_OR_RETURN(Heartbeat hb, Heartbeat::deserialize(resp.heartbeat));
-  GDP_ASSIGN_OR_RETURN(RangeProof proof, RangeProof::deserialize(resp.proof));
+  GDP_ASSIGN_OR_RETURN(Heartbeat hb, Heartbeat::deserialize(resp->heartbeat));
+  GDP_ASSIGN_OR_RETURN(RangeProof proof, RangeProof::deserialize(resp->proof));
   if (proof.records.empty()) {
     return make_error(Errc::kVerificationFailed, "empty proof");
   }
@@ -419,8 +361,8 @@ Result<ReadOutcome> GdpClient::parse_read_response(const wire::Pdu& pdu,
     // Off-canonical records each verify standalone through the credential
     // envelope in their own payload — an adversarial server can withhold
     // branches (liveness) but cannot inject fabricated ones (integrity).
-    out.branch_records.reserve(resp.branch_records.size());
-    for (const Bytes& raw : resp.branch_records) {
+    out.branch_records.reserve(resp->branch_records.size());
+    for (const Bytes& raw : resp->branch_records) {
       GDP_ASSIGN_OR_RETURN(capsule::Record rec, capsule::Record::deserialize(raw));
       if (rec.header.capsule_name != metadata.name()) {
         return make_error(Errc::kVerificationFailed,
@@ -433,7 +375,7 @@ Result<ReadOutcome> GdpClient::parse_read_response(const wire::Pdu& pdu,
       out.branch_records.push_back(std::move(rec));
     }
   }
-  out.via_hmac = resp.auth.kind == wire::ResponseAuth::Kind::kHmac;
+  out.via_hmac = resp->auth.kind == wire::ResponseAuth::Kind::kHmac;
   out.response_bytes = pdu.payload.size();
   return out;
 }
@@ -444,14 +386,15 @@ OpPtr<ReadOutcome> GdpClient::read(const capsule::Metadata& metadata,
   auto op = std::make_shared<Op<ReadOutcome>>();
   // Each fresh read earns a fraction of a retry token; only retries spend.
   if (options_.retry_reads) read_retry_budget_.on_request();
-  start_read(op, metadata, first_seqno, last_seqno, /*attempt=*/1);
+  start_read(op, std::make_shared<const capsule::Metadata>(metadata), first_seqno,
+             last_seqno, /*attempt=*/1);
   return op;
 }
 
-bool GdpClient::maybe_retry_read(const OpPtr<ReadOutcome>& op,
-                                 const capsule::Metadata& metadata,
-                                 std::uint64_t first, std::uint64_t last,
-                                 std::uint32_t attempt) {
+bool GdpClient::maybe_retry_read(
+    const OpPtr<ReadOutcome>& op,
+    const std::shared_ptr<const capsule::Metadata>& metadata, std::uint64_t first,
+    std::uint64_t last, std::uint32_t attempt) {
   if (!options_.retry_reads || attempt >= options_.max_read_attempts) {
     return false;
   }
@@ -465,36 +408,30 @@ bool GdpClient::maybe_retry_read(const OpPtr<ReadOutcome>& op,
 }
 
 void GdpClient::start_read(const OpPtr<ReadOutcome>& op,
-                           const capsule::Metadata& metadata,
+                           std::shared_ptr<const capsule::Metadata> metadata,
                            std::uint64_t first, std::uint64_t last,
                            std::uint32_t attempt) {
   wire::ReadMsg msg;
-  msg.capsule = metadata.name();
+  msg.capsule = metadata->name();
   msg.first_seqno = first;
   msg.last_seqno = last;
-  msg.nonce = next_nonce_++;
-  msg.session_pubkey = session_pubkey_for_request();
-
-  capsule::Metadata meta_copy = metadata;
-  register_pending(
-      msg.nonce,
-      [this, op, meta_copy, first, last, attempt](const wire::Pdu& pdu) {
-        auto outcome = parse_read_response(pdu, meta_copy, first, last);
+  request(
+      metadata->name(), wire::MsgType::kRead, std::move(msg), metadata, op, "read",
+      [this, op, metadata, first, last, attempt](Result<ServerReply> reply,
+                                                 const wire::Pdu& pdu) {
+        auto outcome = read_outcome(reply, pdu, *metadata, first, last);
         // A shed fail-fast (kUnavailable in the signed body) is the one
         // response worth retrying: the route lease may have rotated the
         // name onto a healthier replica by now.
         if (!outcome.ok() && outcome.code() == Errc::kUnavailable &&
-            maybe_retry_read(op, meta_copy, first, last, attempt)) {
+            maybe_retry_read(op, metadata, first, last, attempt)) {
           return;
         }
         op->resolve(std::move(outcome));
       },
-      [this, op, meta_copy = std::move(meta_copy), first, last, attempt] {
-        if (maybe_retry_read(op, meta_copy, first, last, attempt)) return;
-        op->timed_out = true;
-        op->resolve(make_error(Errc::kUnavailable, "read timed out"));
+      [this, op, metadata, first, last, attempt] {
+        return maybe_retry_read(op, metadata, first, last, attempt);
       });
-  send_pdu(metadata.name(), wire::MsgType::kRead, msg.serialize());
 }
 
 OpPtr<ReadOutcome> GdpClient::read_latest_strict(
@@ -511,39 +448,33 @@ OpPtr<ReadOutcome> GdpClient::read_latest_strict(
   };
   auto gather = std::make_shared<Gather>();
   gather->awaiting = replica_servers.size();
+  auto meta = std::make_shared<const capsule::Metadata>(metadata);
 
   for (const Name& server : replica_servers) {
     wire::ReadMsg msg;
     msg.capsule = metadata.name();
-    msg.nonce = next_nonce_++;
-    msg.session_pubkey = session_pubkey_for_request();
-    capsule::Metadata meta_copy = metadata;
-    auto strict_handler = [this, op, gather,
-                           meta_copy = std::move(meta_copy)](const wire::Pdu& pdu) {
-      auto outcome = parse_read_response(pdu, meta_copy, 0, 0);
-      if (!outcome.ok()) {
-        gather->failed = true;
-      } else if (!gather->best ||
-                 outcome->heartbeat.seqno > gather->best->heartbeat.seqno) {
-        gather->best = std::move(*outcome);
-      }
-      if (--gather->awaiting == 0) {
-        // Strict consistency semantics: all replicas must answer (and
-        // verifiably) or the reader blocks/fails (§VI-C).
-        if (gather->failed || !gather->best) {
-          op->resolve(make_error(Errc::kUnavailable,
-                                 "strict read requires every replica"));
-        } else {
-          op->resolve(std::move(*gather->best));
-        }
-      }
-    };
-    register_pending(msg.nonce, std::move(strict_handler), [op] {
-      op->timed_out = true;
-      op->resolve(make_error(Errc::kUnavailable,
-                             "strict read timed out (replica unreachable)"));
-    });
-    send_pdu(server, wire::MsgType::kRead, msg.serialize());
+    request(server, wire::MsgType::kRead, std::move(msg), meta, op,
+            "read_latest_strict",
+            [this, op, gather, meta](Result<ServerReply> reply,
+                                     const wire::Pdu& pdu) {
+              auto outcome = read_outcome(reply, pdu, *meta, 0, 0);
+              if (!outcome.ok()) {
+                gather->failed = true;
+              } else if (!gather->best ||
+                         outcome->heartbeat.seqno > gather->best->heartbeat.seqno) {
+                gather->best = std::move(*outcome);
+              }
+              if (--gather->awaiting == 0) {
+                // Strict consistency semantics: all replicas must answer (and
+                // verifiably) or the reader blocks/fails (§VI-C).
+                if (gather->failed || !gather->best) {
+                  op->resolve(make_error(Errc::kUnavailable,
+                                         "strict read requires every replica"));
+                } else {
+                  op->resolve(std::move(*gather->best));
+                }
+              }
+            });
   }
   return op;
 }
@@ -556,77 +487,61 @@ OpPtr<bool> GdpClient::subscribe(const capsule::Metadata& metadata,
   msg.capsule = metadata.name();
   msg.subscriber = name();
   msg.sub_cert = sub_cert.serialize();
-  msg.nonce = next_nonce_++;
 
   subscriptions_.insert_or_assign(
       metadata.name(), Subscription{metadata, std::move(callback), {}});
 
-  auto subscribe_handler = [this, op, capsule_name = metadata.name()](const wire::Pdu& pdu) {
-    auto status = wire::StatusMsg::deserialize(pdu.payload);
-    if (!status.ok() || !status->ok) {
-      subscriptions_.erase(capsule_name);
-      op->resolve(status.ok()
-                      ? Result<bool>(make_error(static_cast<Errc>(status->code),
-                                                status->message))
-                      : Result<bool>(status.error()));
-      return;
-    }
-    op->resolve(true);
-  };
-  register_pending(msg.nonce, std::move(subscribe_handler),
-                   [this, op, capsule_name = metadata.name()] {
-                     subscriptions_.erase(capsule_name);
-                     op->timed_out = true;
-                     op->resolve(make_error(Errc::kUnavailable, "subscribe timed out"));
-                   });
-  send_pdu(metadata.name(), wire::MsgType::kSubscribe, msg.serialize());
+  const Name capsule_name = metadata.name();
+  request(
+      capsule_name, wire::MsgType::kSubscribe, std::move(msg), nullptr, op,
+      "subscribe",
+      [this, op, capsule_name](Result<ServerReply> reply, const wire::Pdu&) {
+        Status status = status_of(reply);
+        if (!status.ok()) {
+          subscriptions_.erase(capsule_name);
+          op->resolve(status.error());
+          return;
+        }
+        op->resolve(true);
+      },
+      [this, capsule_name] {
+        subscriptions_.erase(capsule_name);
+        return false;
+      });
   return op;
 }
 
 // ---- Event dispatch ---------------------------------------------------------------
 
+template <typename Msg>
+void GdpClient::deliver(const wire::Pdu& pdu) {
+  auto msg = Msg::deserialize(pdu.payload);
+  if (!msg.ok()) return;  // malformed: the op's guard timer resolves it
+  auto it = pending_.find(msg->nonce);
+  if (it == pending_.end()) return;  // duplicate / replayed
+  PendingRequest pending = std::move(it->second);
+  pending_.erase(it);
+  pending.timeout.cancel();
+  op_latency_ns_.record(
+      static_cast<std::uint64_t>((net_.sim().now() - pending.started).count()));
+  if constexpr (std::is_base_of_v<wire::SecureResponse, Msg>) {
+    Status auth = verify_response_auth(pdu.src, msg->signed_body(), *msg,
+                                       pending.authority.get());
+    if (!auth.ok()) {
+      pending.on_reply(auth.error(), pdu);
+      return;
+    }
+  }
+  pending.on_reply(ServerReply(std::move(msg).value()), pdu);
+}
+
 void GdpClient::handle_pdu(const Name& from, const wire::Pdu& pdu) {
   switch (pdu.type) {
-    case wire::MsgType::kStatus: {
-      auto msg = wire::StatusMsg::deserialize(pdu.payload);
-      if (!msg.ok()) return;
-      auto handler = take_pending(msg->nonce);
-      if (!handler) return;  // duplicate / replayed
-      (*handler)(pdu);
-      return;
-    }
-    case wire::MsgType::kAppendAck: {
-      auto msg = wire::AppendAckMsg::deserialize(pdu.payload);
-      if (!msg.ok()) return;
-      auto handler = take_pending(msg->nonce);
-      if (!handler) return;
-      (*handler)(pdu);
-      return;
-    }
-    case wire::MsgType::kReadResponse: {
-      auto msg = wire::ReadResponseMsg::deserialize(pdu.payload);
-      if (!msg.ok()) return;
-      auto handler = take_pending(msg->nonce);
-      if (!handler) return;
-      (*handler)(pdu);
-      return;
-    }
-    case wire::MsgType::kCasNack: {
-      auto msg = wire::CasNackMsg::deserialize(pdu.payload);
-      if (!msg.ok()) return;
-      auto handler = take_pending(msg->nonce);
-      if (!handler) return;
-      (*handler)(pdu);
-      return;
-    }
-    case wire::MsgType::kLeaseGrant: {
-      auto msg = wire::LeaseGrantMsg::deserialize(pdu.payload);
-      if (!msg.ok()) return;
-      auto handler = take_pending(msg->nonce);
-      if (!handler) return;
-      (*handler)(pdu);
-      return;
-    }
+    case wire::MsgType::kStatus: return deliver<wire::StatusMsg>(pdu);
+    case wire::MsgType::kAppendAck: return deliver<wire::AppendAckMsg>(pdu);
+    case wire::MsgType::kReadResponse: return deliver<wire::ReadResponseMsg>(pdu);
+    case wire::MsgType::kCasNack: return deliver<wire::CasNackMsg>(pdu);
+    case wire::MsgType::kLeaseGrant: return deliver<wire::LeaseGrantMsg>(pdu);
     case wire::MsgType::kPublish: {
       auto msg = wire::PublishMsg::deserialize(pdu.payload);
       if (!msg.ok()) return;

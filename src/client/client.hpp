@@ -18,6 +18,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 #include "capsule/proof.hpp"
 #include "capsule/writer.hpp"
@@ -25,6 +26,7 @@
 #include "router/endpoint.hpp"
 #include "trust/delegation.hpp"
 #include "trust/verify_cache.hpp"
+#include "wire/messages.hpp"
 
 namespace gdp::client {
 
@@ -135,6 +137,11 @@ struct LeaseOutcome {
   std::uint64_t tip_seqno = 0;  ///< replica tip at decision time
   Name tip_hash;
 };
+
+/// A decoded server reply to one of the client's requests.
+using ServerReply = std::variant<wire::StatusMsg, wire::AppendAckMsg,
+                                 wire::ReadResponseMsg, wire::CasNackMsg,
+                                 wire::LeaseGrantMsg>;
 
 class GdpClient : public router::Endpoint {
  public:
@@ -258,38 +265,53 @@ class GdpClient : public router::Endpoint {
     std::unordered_set<Name> seen;
   };
 
+  /// Op continuation: the reply (already §V-verified) or why it was
+  /// rejected, plus the PDU it arrived in.
+  using ReplyHandler = std::function<void(Result<ServerReply>, const wire::Pdu&)>;
+
+  struct PendingRequest {
+    /// Capsule whose delegations authenticate the reply; null for kStatus
+    /// replies (create/subscribe), which carry no authenticator.
+    std::shared_ptr<const capsule::Metadata> authority;
+    ReplyHandler on_reply;
+    net::Simulator::TimerHandle timeout;
+    TimePoint started;  ///< sim time the request went out (op latency)
+  };
+
+  /// The one client->server RPC path: stamps a fresh nonce (and the session
+  /// pubkey, on requests that carry one), registers `on_reply` under a
+  /// "<what> timed out" guard and sends.  `retry`, when set, runs first on
+  /// timeout and returns true if it re-issued the op instead.
+  template <typename Req, typename T>
+  void request(const Name& dst, wire::MsgType type, Req msg,
+               std::shared_ptr<const capsule::Metadata> authority,
+               const OpPtr<T>& op, std::string what, ReplyHandler on_reply,
+               std::function<bool()> retry = {});
+  /// Decodes a reply once, matches its nonce to the pending request,
+  /// checks its §V authenticator and runs the op's continuation.
+  template <typename Msg>
+  void deliver(const wire::Pdu& pdu);
   /// Verifies a response authenticator; on signature path also validates
   /// and caches the server principal + delegation.
-  Status verify_response_auth(const Name& responding_server, const Name& capsule,
-                              BytesView body, const wire::ResponseAuth& auth,
-                              BytesView principal_bytes, BytesView delegation_bytes,
+  Status verify_response_auth(const Name& responding_server, BytesView body,
+                              const wire::SecureResponse& trailer,
                               const capsule::Metadata* metadata);
   Bytes session_pubkey_for_request() const;
-  /// Registers a response handler plus its (cancellable) guard timeout.
-  void register_pending(std::uint64_t nonce,
-                        std::function<void(const wire::Pdu&)> handler,
-                        std::function<void()> on_timeout);
-  /// Extracts and returns the handler for `nonce`, cancelling its timer.
-  std::optional<std::function<void(const wire::Pdu&)>> take_pending(
-      std::uint64_t nonce);
-  Result<ReadOutcome> parse_read_response(const wire::Pdu& pdu,
-                                          const capsule::Metadata& metadata,
-                                          std::uint64_t first, std::uint64_t last);
+  Result<ReadOutcome> read_outcome(const Result<ServerReply>& reply,
+                                   const wire::Pdu& pdu,
+                                   const capsule::Metadata& metadata,
+                                   std::uint64_t first, std::uint64_t last);
   /// Sends attempt #`attempt` of a read and arms its response/timeout
   /// handlers (the retry path re-enters here with a fresh nonce).
-  void start_read(const OpPtr<ReadOutcome>& op, const capsule::Metadata& metadata,
+  void start_read(const OpPtr<ReadOutcome>& op,
+                  std::shared_ptr<const capsule::Metadata> metadata,
                   std::uint64_t first, std::uint64_t last, std::uint32_t attempt);
   /// True = a retry was dispatched (budget granted, attempts left) and the
   /// op stays pending; false = the caller must resolve it terminally.
   bool maybe_retry_read(const OpPtr<ReadOutcome>& op,
-                        const capsule::Metadata& metadata, std::uint64_t first,
-                        std::uint64_t last, std::uint32_t attempt);
-
-  struct PendingRequest {
-    std::function<void(const wire::Pdu&)> handler;
-    net::Simulator::TimerHandle timeout;
-    TimePoint started;  ///< sim time the request went out (op latency)
-  };
+                        const std::shared_ptr<const capsule::Metadata>& metadata,
+                        std::uint64_t first, std::uint64_t last,
+                        std::uint32_t attempt);
 
   Options options_;
   crypto::PrivateKey session_key_;  ///< ephemeral ECDH half for HMAC sessions

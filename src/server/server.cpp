@@ -329,46 +329,26 @@ void CapsuleServer::shed_op(const wire::Pdu& pdu,
       net_.trace().record(pdu.trace_id, self_.name(), "drop", "shed_read");
       auto msg = wire::ReadMsg::deserialize(pdu.payload);
       if (!msg.ok()) return;  // malformed and shed: nothing to answer
-      wire::ReadResponseMsg resp;
-      resp.capsule = msg->capsule;
-      resp.nonce = msg->nonce;
-      resp.ok = false;
-      resp.code = static_cast<std::uint16_t>(Errc::kUnavailable);
-      resp.error = std::string(errc_name(Errc::kUnavailable)) +
-                   ": read shed under overload";
-      authenticate_response(msg->capsule, pdu.src, msg->session_pubkey,
-                            resp.signed_body(), resp.auth,
-                            resp.server_principal, resp.delegation);
-      send_pdu(pdu.src, wire::MsgType::kReadResponse, resp.serialize(),
-               pdu.flow_id);
+      fail_read(pdu, *msg, Errc::kUnavailable, "read shed under overload");
       return;
     }
     case loadmgmt::DropPriority::kWrite: {
       shed_appends_.inc();
       net_.trace().record(pdu.trace_id, self_.name(), "drop", "shed_append");
-      PendingDurability pending;
-      pending.writer = pdu.src;
-      pending.acks = 0;  // nothing persisted
+      auto nack = [&](const auto& msg) {
+        PendingDurability pending = pending_for(pdu.src, msg);
+        pending.acks = 0;  // nothing persisted
+        send_append_ack(pending, false,
+                        std::string(errc_name(Errc::kUnavailable)) +
+                            ": append shed under overload");
+      };
       if (pdu.type == wire::MsgType::kCondAppend) {
         auto msg = wire::CondAppendMsg::deserialize(pdu.payload);
-        if (!msg.ok()) return;
-        pending.capsule = msg->capsule;
-        pending.record_hash = msg->record.hash();
-        pending.seqno = msg->record.header.seqno;
-        pending.client_nonce = msg->nonce;
-        pending.session_pubkey = msg->session_pubkey;
+        if (msg.ok()) nack(*msg);
       } else {
         auto msg = wire::AppendMsg::deserialize(pdu.payload);
-        if (!msg.ok()) return;
-        pending.capsule = msg->capsule;
-        pending.record_hash = msg->record.hash();
-        pending.seqno = msg->record.header.seqno;
-        pending.client_nonce = msg->nonce;
-        pending.session_pubkey = msg->session_pubkey;
+        if (msg.ok()) nack(*msg);
       }
-      send_append_ack(pending, false,
-                      std::string(errc_name(Errc::kUnavailable)) +
-                          ": append shed under overload");
       return;
     }
     case loadmgmt::DropPriority::kCritical:
@@ -472,15 +452,7 @@ void CapsuleServer::handle_append(const wire::Pdu& pdu) {
     return;
   }
 
-  PendingDurability pending;
-  pending.writer = pdu.src;
-  pending.capsule = msg->capsule;
-  pending.record_hash = msg->record.hash();
-  pending.seqno = msg->record.header.seqno;
-  pending.required = std::max<std::uint32_t>(1, msg->required_acks);
-  pending.client_nonce = msg->nonce;
-  pending.session_pubkey = msg->session_pubkey;
-
+  PendingDurability pending = pending_for(pdu.src, *msg);
   store::CapsuleStore* cs = store_.find(msg->capsule);
   if (cs == nullptr) {
     appends_rejected_.inc();
@@ -488,6 +460,20 @@ void CapsuleServer::handle_append(const wire::Pdu& pdu) {
     return;
   }
   run_append(*cs, std::move(pending), msg->record, pdu);
+}
+
+template <typename AppendLike>
+CapsuleServer::PendingDurability CapsuleServer::pending_for(const Name& writer,
+                                                            const AppendLike& msg) {
+  PendingDurability pending;
+  pending.writer = writer;
+  pending.capsule = msg.capsule;
+  pending.record_hash = msg.record.hash();
+  pending.seqno = msg.record.header.seqno;
+  pending.required = std::max<std::uint32_t>(1, msg.required_acks);
+  pending.client_nonce = msg.nonce;
+  pending.session_pubkey = msg.session_pubkey;
+  return pending;
 }
 
 void CapsuleServer::run_append(store::CapsuleStore& cs, PendingDurability pending,
@@ -558,8 +544,8 @@ CapsuleServer::Lease* CapsuleServer::active_lease(const Name& capsule) {
 }
 
 void CapsuleServer::send_cas_nack(const store::CapsuleStore& cs,
-                                  const wire::Pdu& pdu, std::uint64_t nonce,
-                                  BytesView session_pubkey, Errc code,
+                                  const wire::Pdu& pdu,
+                                  const wire::CondAppendMsg& msg, Errc code,
                                   std::string why, const Lease* lease) {
   wire::CasNackMsg nack;
   nack.capsule = cs.metadata().name();
@@ -571,10 +557,8 @@ void CapsuleServer::send_cas_nack(const store::CapsuleStore& cs,
     nack.lease_holder = lease->holder;
     nack.lease_expires_ns = lease->expires_ns;
   }
-  nack.nonce = nonce;
-  authenticate_response(nack.capsule, pdu.src, session_pubkey, nack.signed_body(),
-                        nack.auth, nack.server_principal, nack.delegation);
-  send_pdu(pdu.src, wire::MsgType::kCasNack, nack.serialize(), pdu.flow_id);
+  nack.nonce = msg.nonce;
+  respond(pdu.src, msg.session_pubkey, nack, pdu.flow_id);
 }
 
 void CapsuleServer::handle_cond_append(const wire::Pdu& pdu) {
@@ -585,15 +569,7 @@ void CapsuleServer::handle_cond_append(const wire::Pdu& pdu) {
     return;
   }
 
-  PendingDurability pending;
-  pending.writer = pdu.src;
-  pending.capsule = msg->capsule;
-  pending.record_hash = msg->record.hash();
-  pending.seqno = msg->record.header.seqno;
-  pending.required = std::max<std::uint32_t>(1, msg->required_acks);
-  pending.client_nonce = msg->nonce;
-  pending.session_pubkey = msg->session_pubkey;
-
+  PendingDurability pending = pending_for(pdu.src, *msg);
   store::CapsuleStore* cs = store_.find(msg->capsule);
   if (cs == nullptr) {
     appends_rejected_.inc();
@@ -606,7 +582,7 @@ void CapsuleServer::handle_cond_append(const wire::Pdu& pdu) {
   if (lease != nullptr && lease->id != msg->lease_id) {
     cas_lease_rejected_.inc();
     net_.trace().record(pdu.trace_id, self_.name(), "drop", "cas_lease_held");
-    send_cas_nack(*cs, pdu, msg->nonce, msg->session_pubkey, Errc::kLeaseHeld,
+    send_cas_nack(*cs, pdu, *msg, Errc::kLeaseHeld,
                   "capsule tip lease held by another writer", lease);
     return;
   }
@@ -618,8 +594,7 @@ void CapsuleServer::handle_cond_append(const wire::Pdu& pdu) {
       state.tip_hash() != msg->expected_tip_hash) {
     cas_conflict_.inc();
     net_.trace().record(pdu.trace_id, self_.name(), "verify", "cas_conflict");
-    send_cas_nack(*cs, pdu, msg->nonce, msg->session_pubkey, Errc::kConflict,
-                  "capsule tip moved", lease);
+    send_cas_nack(*cs, pdu, *msg, Errc::kConflict, "capsule tip moved", lease);
     return;
   }
   cas_win_.inc();
@@ -638,12 +613,7 @@ void CapsuleServer::handle_lease_request(const wire::Pdu& pdu) {
   grant.capsule = msg->capsule;
   grant.nonce = msg->nonce;
 
-  auto respond = [&] {
-    authenticate_response(msg->capsule, pdu.src, msg->session_pubkey,
-                          grant.signed_body(), grant.auth,
-                          grant.server_principal, grant.delegation);
-    send_pdu(pdu.src, wire::MsgType::kLeaseGrant, grant.serialize(), pdu.flow_id);
-  };
+  auto reply = [&] { respond(pdu.src, msg->session_pubkey, grant, pdu.flow_id); };
   auto deny = [&](Errc code, std::string why, const Lease* holder) {
     lease_denied_.inc();
     grant.ok = false;
@@ -654,7 +624,7 @@ void CapsuleServer::handle_lease_request(const wire::Pdu& pdu) {
       grant.holder = holder->holder;
       grant.expires_ns = holder->expires_ns;
     }
-    respond();
+    reply();
   };
 
   store::CapsuleStore* cs = store_.find(msg->capsule);
@@ -687,7 +657,7 @@ void CapsuleServer::handle_lease_request(const wire::Pdu& pdu) {
       grant.lease_id = fresh.id;
       grant.holder = fresh.holder;
       grant.expires_ns = fresh.expires_ns;
-      respond();
+      reply();
       return;
     }
     case wire::LeaseRequestMsg::kRenew: {
@@ -702,7 +672,7 @@ void CapsuleServer::handle_lease_request(const wire::Pdu& pdu) {
       grant.lease_id = lease->id;
       grant.holder = lease->holder;
       grant.expires_ns = lease->expires_ns;
-      respond();
+      reply();
       return;
     }
     case wire::LeaseRequestMsg::kRelease: {
@@ -712,7 +682,7 @@ void CapsuleServer::handle_lease_request(const wire::Pdu& pdu) {
         leases_.erase(msg->capsule);
       }
       grant.ok = true;
-      respond();
+      reply();
       return;
     }
     default:
@@ -1210,20 +1180,9 @@ void CapsuleServer::handle_read(const wire::Pdu& pdu) {
     return;
   }
 
-  wire::ReadResponseMsg resp;
-  resp.capsule = msg->capsule;
-  resp.nonce = msg->nonce;
-
   auto fail = [&](Errc code, std::string why) {
-    resp.ok = false;
-    resp.code = static_cast<std::uint16_t>(code);
-    resp.error = std::string(errc_name(code)) + ": " + std::move(why);
-    authenticate_response(msg->capsule, pdu.src, msg->session_pubkey,
-                          resp.signed_body(), resp.auth, resp.server_principal,
-                          resp.delegation);
-    send_pdu(pdu.src, wire::MsgType::kReadResponse, resp.serialize(), pdu.flow_id);
+    fail_read(pdu, *msg, code, std::move(why));
   };
-
   const store::CapsuleStore* cs = store_.find(msg->capsule);
   if (cs == nullptr) {
     fail(Errc::kNotFound, "capsule not hosted here");
@@ -1255,6 +1214,9 @@ void CapsuleServer::handle_read(const wire::Pdu& pdu) {
     fail(proof.error().code, proof.error().message);
     return;
   }
+  wire::ReadResponseMsg resp;
+  resp.capsule = msg->capsule;
+  resp.nonce = msg->nonce;
   resp.ok = true;
   resp.proof = proof->serialize();
   resp.heartbeat = hb.serialize();
@@ -1267,14 +1229,22 @@ void CapsuleServer::handle_read(const wire::Pdu& pdu) {
       resp.branch_records.push_back(br.serialize());
     }
   }
-  authenticate_response(msg->capsule, pdu.src, msg->session_pubkey,
-                        resp.signed_body(), resp.auth, resp.server_principal,
-                        resp.delegation);
   reads_served_.inc();
   net_.metrics()
       .histogram("store." + msg->capsule.short_hex() + ".read.bytes")
       .record(resp.proof.size());
-  send_pdu(pdu.src, wire::MsgType::kReadResponse, resp.serialize(), pdu.flow_id);
+  respond(pdu.src, msg->session_pubkey, resp, pdu.flow_id);
+}
+
+void CapsuleServer::fail_read(const wire::Pdu& pdu, const wire::ReadMsg& msg,
+                              Errc code, std::string why) {
+  wire::ReadResponseMsg resp;
+  resp.capsule = msg.capsule;
+  resp.nonce = msg.nonce;
+  resp.ok = false;
+  resp.code = static_cast<std::uint16_t>(code);
+  resp.error = std::string(errc_name(code)) + ": " + std::move(why);
+  respond(pdu.src, msg.session_pubkey, resp, pdu.flow_id);
 }
 
 void CapsuleServer::handle_subscribe(const wire::Pdu& pdu) {
@@ -1348,15 +1318,14 @@ std::optional<crypto::SymmetricKey> CapsuleServer::session_key_for(
   return it->second;
 }
 
-void CapsuleServer::authenticate_response(const Name& capsule, const Name& client,
-                                          BytesView session_pubkey, BytesView body,
-                                          wire::ResponseAuth& auth,
-                                          Bytes& principal_out,
-                                          Bytes& delegation_out) {
+template <typename Msg>
+void CapsuleServer::respond(const Name& client, BytesView session_pubkey, Msg& msg,
+                            std::uint64_t flow_id) {
+  const Bytes body = msg.signed_body();
   auto attach_evidence = [&] {
-    principal_out = self_.serialize();
-    const store::CapsuleStore* cs = store_.find(capsule);
-    if (cs != nullptr) delegation_out = cs->delegation().serialize();
+    msg.server_principal = self_.serialize();
+    const store::CapsuleStore* cs = store_.find(msg.capsule);
+    if (cs != nullptr) msg.delegation = cs->delegation().serialize();
   };
   auto session = session_key_for(client, session_pubkey);
   if (session.has_value()) {
@@ -1365,16 +1334,17 @@ void CapsuleServer::authenticate_response(const Name& capsule, const Name& clien
     // client can anchor the session key in the capsule's delegations.
     auto tag = crypto::hmac_sha256(
         BytesView(session->data(), session->size()), body);
-    auth.kind = wire::ResponseAuth::Kind::kHmac;
-    auth.bytes.assign(tag.begin(), tag.end());
+    msg.auth.kind = wire::ResponseAuth::Kind::kHmac;
+    msg.auth.bytes.assign(tag.begin(), tag.end());
     if (introduced_.insert(client).second) attach_evidence();
-    return;
+  } else {
+    // Sessionless mode: full signature + evidence chain on every response,
+    // letting the client verify that a *designated* server responded (§V).
+    msg.auth.kind = wire::ResponseAuth::Kind::kSignature;
+    msg.auth.bytes = key_.sign(body).encode();
+    attach_evidence();
   }
-  // Sessionless mode: full signature + evidence chain on every response,
-  // letting the client verify that a *designated* server responded (§V).
-  auth.kind = wire::ResponseAuth::Kind::kSignature;
-  auth.bytes = key_.sign(body).encode();
-  attach_evidence();
+  send_pdu(client, Msg::kType, msg.serialize(), flow_id);
 }
 
 void CapsuleServer::send_append_ack(const PendingDurability& pending, bool ok,
@@ -1387,10 +1357,7 @@ void CapsuleServer::send_append_ack(const PendingDurability& pending, bool ok,
   ack.ok = ok;
   ack.error = std::move(error);
   ack.nonce = pending.client_nonce;
-  authenticate_response(pending.capsule, pending.writer, pending.session_pubkey,
-                        ack.signed_body(), ack.auth, ack.server_principal,
-                        ack.delegation);
-  send_pdu(pending.writer, wire::MsgType::kAppendAck, ack.serialize());
+  respond(pending.writer, pending.session_pubkey, ack, /*flow_id=*/0);
 }
 
 void CapsuleServer::send_status(const Name& to, bool ok, Errc code,

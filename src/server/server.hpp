@@ -141,6 +141,9 @@ class CapsuleServer : public router::Endpoint {
     Bytes session_pubkey;
     bool done = false;
   };
+  /// Ack bookkeeping for an AppendMsg or CondAppendMsg from `writer`.
+  template <typename AppendLike>
+  static PendingDurability pending_for(const Name& writer, const AppendLike& msg);
 
   /// Puller-side state of one summary-sync conversation: the ranges the
   /// Merkle walk proved missing, the in-flight pull and its cursor, and
@@ -214,12 +217,12 @@ class CapsuleServer : public router::Endpoint {
   /// Moves queued ranges into an in-flight SyncRangeMsg pull.
   void flush_session(const Name& capsule, SyncSession& session);
 
-  /// Fills auth (+ principal/delegation evidence when signing) on a
-  /// response body destined for `client`.
-  void authenticate_response(const Name& capsule, const Name& client,
-                             BytesView session_pubkey, BytesView body,
-                             wire::ResponseAuth& auth, Bytes& principal_out,
-                             Bytes& delegation_out);
+  /// §V secure response: authenticates `msg` for `client` (session HMAC,
+  /// or signature plus principal/delegation evidence) and sends it.  Every
+  /// AppendAck, ReadResponse, CasNack and LeaseGrant leaves through here.
+  template <typename Msg>
+  void respond(const Name& client, BytesView session_pubkey, Msg& msg,
+               std::uint64_t flow_id);
   std::optional<crypto::SymmetricKey> session_key_for(const Name& client,
                                                       BytesView session_pubkey);
 
@@ -230,8 +233,11 @@ class CapsuleServer : public router::Endpoint {
   /// The capsule's lease if one is active now; expired entries are reaped.
   Lease* active_lease(const Name& capsule);
   void send_cas_nack(const store::CapsuleStore& cs, const wire::Pdu& pdu,
-                     std::uint64_t nonce, BytesView session_pubkey, Errc code,
-                     std::string why, const Lease* lease);
+                     const wire::CondAppendMsg& msg, Errc code, std::string why,
+                     const Lease* lease);
+  /// Authenticated read failure; the code rides inside the signed body.
+  void fail_read(const wire::Pdu& pdu, const wire::ReadMsg& msg, Errc code,
+                 std::string why);
 
   void send_append_ack(const PendingDurability& pending, bool ok, std::string error);
   void send_status(const Name& to, bool ok, Errc code, std::string message,

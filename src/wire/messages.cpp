@@ -80,6 +80,42 @@ Error truncated(const char* what) {
   return make_error(Errc::kInvalidArgument, std::string("truncated ") + what);
 }
 
+// Signed-body domain tags of the four authenticated responses.
+constexpr std::string_view kAppendAckTag = "gdp.append-ack.v1";
+constexpr std::string_view kReadResponseTag = "gdp.read-resp.v1";
+constexpr std::string_view kCasNackTag = "gdp.cas-nack.v1";
+constexpr std::string_view kLeaseGrantTag = "gdp.lease-grant.v1";
+
+bool get_tag(ByteReader& r, std::string_view tag) {
+  auto b = r.get_bytes(tag.size());
+  return b && to_string(*b) == tag;
+}
+
+// §V response layout: signed body (tag, fields, nonce), then evidence and
+// authenticator.  Every signed_body() closes with the nonce, so the
+// decoder's shared tail starts there.
+Bytes put_response_trailer(Bytes signed_body, const SecureResponse& m) {
+  put_length_prefixed(signed_body, m.server_principal);
+  put_length_prefixed(signed_body, m.delegation);
+  put_auth(signed_body, m.auth);
+  return signed_body;
+}
+
+/// Reads nonce, evidence and authenticator into `m`; false on truncation
+/// or trailing bytes.
+bool get_response_trailer(ByteReader& r, SecureResponse& m) {
+  auto nonce = r.get_fixed64();
+  auto principal = r.get_length_prefixed();
+  auto delegation = r.get_length_prefixed();
+  auto auth = get_auth(r);
+  if (!nonce || !principal || !delegation || !auth || !r.empty()) return false;
+  m.nonce = *nonce;
+  m.server_principal = std::move(*principal);
+  m.delegation = std::move(*delegation);
+  m.auth = std::move(*auth);
+  return true;
+}
+
 }  // namespace
 
 // ---- CreateCapsuleMsg ----------------------------------------------------------
@@ -205,7 +241,7 @@ Result<SubscribeMsg> SubscribeMsg::deserialize(BytesView b) {
 // ---- AppendAckMsg ----------------------------------------------------------------
 
 Bytes AppendAckMsg::signed_body() const {
-  Bytes out = to_bytes("gdp.append-ack.v1");
+  Bytes out = to_bytes(kAppendAckTag);
   put_name(out, capsule);
   put_name(out, record_hash);
   put_fixed64(out, seqno);
@@ -217,19 +253,12 @@ Bytes AppendAckMsg::signed_body() const {
 }
 
 Bytes AppendAckMsg::serialize() const {
-  Bytes out = signed_body();
-  put_length_prefixed(out, server_principal);
-  put_length_prefixed(out, delegation);
-  put_auth(out, auth);
-  return out;
+  return put_response_trailer(signed_body(), *this);
 }
 
 Result<AppendAckMsg> AppendAckMsg::deserialize(BytesView b) {
   ByteReader r(b);
-  auto tag = r.get_bytes(17);
-  if (!tag || to_string(*tag) != "gdp.append-ack.v1") {
-    return truncated("AppendAckMsg tag");
-  }
+  if (!get_tag(r, kAppendAckTag)) return truncated("AppendAckMsg tag");
   AppendAckMsg m;
   auto capsule_name = get_name(r);
   auto hash = get_name(r);
@@ -237,12 +266,8 @@ Result<AppendAckMsg> AppendAckMsg::deserialize(BytesView b) {
   auto acks = r.get_fixed32();
   auto ok_byte = r.get_bytes(1);
   auto error = get_string(r);
-  auto nonce = r.get_fixed64();
-  auto principal = r.get_length_prefixed();
-  auto delegation = r.get_length_prefixed();
-  auto auth = get_auth(r);
-  if (!capsule_name || !hash || !seqno || !acks || !ok_byte || !error || !nonce ||
-      !principal || !delegation || !auth || !r.empty()) {
+  if (!capsule_name || !hash || !seqno || !acks || !ok_byte || !error ||
+      !get_response_trailer(r, m)) {
     return truncated("AppendAckMsg");
   }
   m.capsule = *capsule_name;
@@ -251,17 +276,13 @@ Result<AppendAckMsg> AppendAckMsg::deserialize(BytesView b) {
   m.acks = *acks;
   m.ok = (*ok_byte)[0] != 0;
   m.error = std::move(*error);
-  m.nonce = *nonce;
-  m.server_principal = std::move(*principal);
-  m.delegation = std::move(*delegation);
-  m.auth = std::move(*auth);
   return m;
 }
 
 // ---- ReadResponseMsg -------------------------------------------------------------
 
 Bytes ReadResponseMsg::signed_body() const {
-  Bytes out = to_bytes("gdp.read-resp.v1");
+  Bytes out = to_bytes(kReadResponseTag);
   put_name(out, capsule);
   out.push_back(ok ? 1 : 0);
   put_fixed32(out, code);
@@ -274,19 +295,12 @@ Bytes ReadResponseMsg::signed_body() const {
 }
 
 Bytes ReadResponseMsg::serialize() const {
-  Bytes out = signed_body();
-  put_length_prefixed(out, server_principal);
-  put_length_prefixed(out, delegation);
-  put_auth(out, auth);
-  return out;
+  return put_response_trailer(signed_body(), *this);
 }
 
 Result<ReadResponseMsg> ReadResponseMsg::deserialize(BytesView b) {
   ByteReader r(b);
-  auto tag = r.get_bytes(16);
-  if (!tag || to_string(*tag) != "gdp.read-resp.v1") {
-    return truncated("ReadResponseMsg tag");
-  }
+  if (!get_tag(r, kReadResponseTag)) return truncated("ReadResponseMsg tag");
   ReadResponseMsg m;
   auto capsule_name = get_name(r);
   auto ok_byte = r.get_bytes(1);
@@ -295,12 +309,8 @@ Result<ReadResponseMsg> ReadResponseMsg::deserialize(BytesView b) {
   auto proof = r.get_length_prefixed();
   auto heartbeat = r.get_length_prefixed();
   auto branches = get_bytes_list(r);
-  auto nonce = r.get_fixed64();
-  auto principal = r.get_length_prefixed();
-  auto delegation = r.get_length_prefixed();
-  auto auth = get_auth(r);
   if (!capsule_name || !ok_byte || !code || !error || !proof || !heartbeat ||
-      !branches || !nonce || !principal || !delegation || !auth || !r.empty()) {
+      !branches || !get_response_trailer(r, m)) {
     return truncated("ReadResponseMsg");
   }
   m.capsule = *capsule_name;
@@ -310,10 +320,6 @@ Result<ReadResponseMsg> ReadResponseMsg::deserialize(BytesView b) {
   m.proof = std::move(*proof);
   m.heartbeat = std::move(*heartbeat);
   m.branch_records = std::move(*branches);
-  m.nonce = *nonce;
-  m.server_principal = std::move(*principal);
-  m.delegation = std::move(*delegation);
-  m.auth = std::move(*auth);
   return m;
 }
 
@@ -363,7 +369,7 @@ Result<CondAppendMsg> CondAppendMsg::deserialize(BytesView b) {
 // ---- CasNackMsg ------------------------------------------------------------------
 
 Bytes CasNackMsg::signed_body() const {
-  Bytes out = to_bytes("gdp.cas-nack.v1");
+  Bytes out = to_bytes(kCasNackTag);
   put_name(out, capsule);
   put_fixed32(out, code);
   put_string(out, error);
@@ -376,19 +382,12 @@ Bytes CasNackMsg::signed_body() const {
 }
 
 Bytes CasNackMsg::serialize() const {
-  Bytes out = signed_body();
-  put_length_prefixed(out, server_principal);
-  put_length_prefixed(out, delegation);
-  put_auth(out, auth);
-  return out;
+  return put_response_trailer(signed_body(), *this);
 }
 
 Result<CasNackMsg> CasNackMsg::deserialize(BytesView b) {
   ByteReader r(b);
-  auto tag = r.get_bytes(15);
-  if (!tag || to_string(*tag) != "gdp.cas-nack.v1") {
-    return truncated("CasNackMsg tag");
-  }
+  if (!get_tag(r, kCasNackTag)) return truncated("CasNackMsg tag");
   CasNackMsg m;
   auto capsule_name = get_name(r);
   auto code = r.get_fixed32();
@@ -397,13 +396,8 @@ Result<CasNackMsg> CasNackMsg::deserialize(BytesView b) {
   auto tip_hash = get_name(r);
   auto holder = get_name(r);
   auto lease_expires = r.get_fixed64();
-  auto nonce = r.get_fixed64();
-  auto principal = r.get_length_prefixed();
-  auto delegation = r.get_length_prefixed();
-  auto auth = get_auth(r);
   if (!capsule_name || !code || !error || !tip_seqno || !tip_hash || !holder ||
-      !lease_expires || !nonce || !principal || !delegation || !auth ||
-      !r.empty()) {
+      !lease_expires || !get_response_trailer(r, m)) {
     return truncated("CasNackMsg");
   }
   m.capsule = *capsule_name;
@@ -413,10 +407,6 @@ Result<CasNackMsg> CasNackMsg::deserialize(BytesView b) {
   m.tip_hash = *tip_hash;
   m.lease_holder = *holder;
   m.lease_expires_ns = static_cast<std::int64_t>(*lease_expires);
-  m.nonce = *nonce;
-  m.server_principal = std::move(*principal);
-  m.delegation = std::move(*delegation);
-  m.auth = std::move(*auth);
   return m;
 }
 
@@ -464,7 +454,7 @@ Result<LeaseRequestMsg> LeaseRequestMsg::deserialize(BytesView b) {
 // ---- LeaseGrantMsg ---------------------------------------------------------------
 
 Bytes LeaseGrantMsg::signed_body() const {
-  Bytes out = to_bytes("gdp.lease-grant.v1");
+  Bytes out = to_bytes(kLeaseGrantTag);
   put_name(out, capsule);
   out.push_back(ok ? 1 : 0);
   put_fixed32(out, code);
@@ -479,19 +469,12 @@ Bytes LeaseGrantMsg::signed_body() const {
 }
 
 Bytes LeaseGrantMsg::serialize() const {
-  Bytes out = signed_body();
-  put_length_prefixed(out, server_principal);
-  put_length_prefixed(out, delegation);
-  put_auth(out, auth);
-  return out;
+  return put_response_trailer(signed_body(), *this);
 }
 
 Result<LeaseGrantMsg> LeaseGrantMsg::deserialize(BytesView b) {
   ByteReader r(b);
-  auto tag = r.get_bytes(18);
-  if (!tag || to_string(*tag) != "gdp.lease-grant.v1") {
-    return truncated("LeaseGrantMsg tag");
-  }
+  if (!get_tag(r, kLeaseGrantTag)) return truncated("LeaseGrantMsg tag");
   LeaseGrantMsg m;
   auto capsule_name = get_name(r);
   auto ok_byte = r.get_bytes(1);
@@ -502,13 +485,8 @@ Result<LeaseGrantMsg> LeaseGrantMsg::deserialize(BytesView b) {
   auto expires = r.get_fixed64();
   auto tip_seqno = r.get_fixed64();
   auto tip_hash = get_name(r);
-  auto nonce = r.get_fixed64();
-  auto principal = r.get_length_prefixed();
-  auto delegation = r.get_length_prefixed();
-  auto auth = get_auth(r);
   if (!capsule_name || !ok_byte || !code || !error || !lease || !holder ||
-      !expires || !tip_seqno || !tip_hash || !nonce || !principal ||
-      !delegation || !auth || !r.empty()) {
+      !expires || !tip_seqno || !tip_hash || !get_response_trailer(r, m)) {
     return truncated("LeaseGrantMsg");
   }
   m.capsule = *capsule_name;
@@ -520,10 +498,6 @@ Result<LeaseGrantMsg> LeaseGrantMsg::deserialize(BytesView b) {
   m.expires_ns = static_cast<std::int64_t>(*expires);
   m.tip_seqno = *tip_seqno;
   m.tip_hash = *tip_hash;
-  m.nonce = *nonce;
-  m.server_principal = std::move(*principal);
-  m.delegation = std::move(*delegation);
-  m.auth = std::move(*auth);
   return m;
 }
 

@@ -22,6 +22,7 @@
 #include "common/bytes.hpp"
 #include "common/name.hpp"
 #include "common/result.hpp"
+#include "wire/pdu.hpp"
 
 namespace gdp::wire {
 
@@ -32,6 +33,18 @@ struct ResponseAuth {
   Bytes bytes;  ///< 64-byte ECDSA signature or 32-byte HMAC tag
 
   friend bool operator==(const ResponseAuth&, const ResponseAuth&) = default;
+};
+
+/// The §V secure-response trailer, shared by every authenticated server
+/// reply.  Each reply's signed body closes with `nonce`, binding it to one
+/// request; the evidence and the authenticator follow on the wire.  The
+/// evidence rides with every signed reply and once, on first contact, with
+/// HMAC replies so the client can anchor the session key.
+struct SecureResponse {
+  std::uint64_t nonce = 0;
+  Bytes server_principal;  ///< serialized trust::Principal, or empty
+  Bytes delegation;        ///< serialized trust::ServingDelegation, or empty
+  ResponseAuth auth;
 };
 
 // ---- Client -> server ---------------------------------------------------------
@@ -82,17 +95,15 @@ struct SubscribeMsg {
 
 // ---- Server -> client ----------------------------------------------------------
 
-struct AppendAckMsg {
+struct AppendAckMsg : SecureResponse {
+  static constexpr MsgType kType = MsgType::kAppendAck;
+
   Name capsule;
   Name record_hash;
   std::uint64_t seqno = 0;
   std::uint32_t acks = 0;  ///< replicas known to hold the record
   bool ok = false;
   std::string error;
-  std::uint64_t nonce = 0;
-  Bytes server_principal;  ///< present iff auth.kind == kSignature
-  Bytes delegation;        ///< present iff auth.kind == kSignature
-  ResponseAuth auth;
 
   /// Canonical bytes covered by `auth`.
   Bytes signed_body() const;
@@ -100,7 +111,9 @@ struct AppendAckMsg {
   static Result<AppendAckMsg> deserialize(BytesView b);
 };
 
-struct ReadResponseMsg {
+struct ReadResponseMsg : SecureResponse {
+  static constexpr MsgType kType = MsgType::kReadResponse;
+
   Name capsule;
   bool ok = false;
   /// Errc as integer when !ok (0 = unspecified / legacy).  Signed along
@@ -116,10 +129,6 @@ struct ReadResponseMsg {
   /// its credential envelope; deterministic replay merges them with the
   /// canonical range so every reader converges on the same tree.
   std::vector<Bytes> branch_records;
-  std::uint64_t nonce = 0;
-  Bytes server_principal;
-  Bytes delegation;
-  ResponseAuth auth;
 
   Bytes signed_body() const;
   Bytes serialize() const;
@@ -168,7 +177,9 @@ struct CondAppendMsg {
 /// CAS rejection.  Authenticated like every server response: an on-path
 /// attacker must not be able to forge a nack (livelocking writers) or
 /// rewrite the tip a loser rebases onto.
-struct CasNackMsg {
+struct CasNackMsg : SecureResponse {
+  static constexpr MsgType kType = MsgType::kCasNack;
+
   Name capsule;
   std::uint16_t code = 0;  ///< Errc::kConflict or Errc::kLeaseHeld
   std::string error;
@@ -176,10 +187,6 @@ struct CasNackMsg {
   Name tip_hash;
   Name lease_holder;                 ///< zero name when no lease interferes
   std::int64_t lease_expires_ns = 0;
-  std::uint64_t nonce = 0;
-  Bytes server_principal;
-  Bytes delegation;
-  ResponseAuth auth;
 
   Bytes signed_body() const;
   Bytes serialize() const;
@@ -209,7 +216,9 @@ struct LeaseRequestMsg {
 
 /// Lease decision; grants carry the replica's current tip so the holder
 /// can start (or resume) appending without an extra read round-trip.
-struct LeaseGrantMsg {
+struct LeaseGrantMsg : SecureResponse {
+  static constexpr MsgType kType = MsgType::kLeaseGrant;
+
   Name capsule;
   bool ok = false;
   std::uint16_t code = 0;  ///< Errc::kLeaseHeld when denied
@@ -219,10 +228,6 @@ struct LeaseGrantMsg {
   std::int64_t expires_ns = 0;
   std::uint64_t tip_seqno = 0;  ///< replica's canonical tip at decision time
   Name tip_hash;
-  std::uint64_t nonce = 0;
-  Bytes server_principal;
-  Bytes delegation;
-  ResponseAuth auth;
 
   Bytes signed_body() const;
   Bytes serialize() const;

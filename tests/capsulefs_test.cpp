@@ -15,6 +15,7 @@
 #include "caapi/timeseries.hpp"
 #include "capsule/credential.hpp"
 #include "capsule/strategy.hpp"
+#include "crypto/sha256.hpp"
 #include "wire/messages.hpp"
 
 namespace gdp::caapi {
@@ -85,19 +86,6 @@ TEST(MountApi, FilesystemCreateWriteReadTree) {
   EXPECT_FALSE(fs->exists("docs/readme"));
   ASSERT_TRUE(fs->remove("tmp").ok());
   EXPECT_EQ(fs->list(), (std::vector<std::string>{"docs/README"}));
-}
-
-TEST(MountApi, DeprecatedCreateShimsStillWork) {
-  World w(301);
-  auto fs = GdpFilesystem::create(w.s, *w.alice, {w.srv1}, "legacy-fs");
-  ASSERT_TRUE(fs.ok()) << fs.error().to_string();
-  ASSERT_TRUE(fs->write_file("f", to_bytes("legacy")).ok());
-  EXPECT_EQ(to_string(*fs->read_file("f")), "legacy");
-
-  auto kv = GdpKvStore::create(w.s, *w.alice, {w.srv1}, "legacy-kv");
-  ASSERT_TRUE(kv.ok());
-  ASSERT_TRUE(kv->put("k", "v").ok());
-  EXPECT_EQ(kv->get("k"), "v");
 }
 
 TEST(MountApi, KvCreateAndReadOnlyOpen) {
@@ -206,28 +194,6 @@ TEST(CapsuleFs, TwoClientStaleReadRegression) {
             (std::vector<std::string>{"from-bob.txt"}));
   EXPECT_EQ(to_string(*owner->read_file("from-bob.txt")), "hello");
   EXPECT_EQ(owner->tree_digest(), bob_fs->tree_digest());
-}
-
-TEST(CapsuleFs, CacheOnlyModeKeepsOldBehavior) {
-  World w(311);
-  MountOptions stale;
-  stale.tip_aware_reads = false;
-  auto owner = GdpFilesystem::mount(
-      Mount::create(w.s, *w.alice, w.servers(), "stale", stale));
-  ASSERT_TRUE(owner.ok());
-
-  crypto::PrivateKey bob_key = crypto::PrivateKey::generate(w.s.key_rng());
-  auto credential = owner->grant_writer(bob_key.public_key(), "bob");
-  ASSERT_TRUE(credential.ok());
-  auto bob_fs = GdpFilesystem::mount(
-      Mount::open(w.s, *w.bob, w.servers(), owner->directory_metadata()),
-      *credential, std::move(bob_key));
-  ASSERT_TRUE(bob_fs.ok());
-
-  ASSERT_TRUE(bob_fs->write_file("f", to_bytes("x")).ok());
-  EXPECT_FALSE(owner->exists("f"));  // cached view: stale until refresh
-  ASSERT_TRUE(owner->refresh().ok());
-  EXPECT_TRUE(owner->exists("f"));
 }
 
 TEST(CapsuleFs, ReadOnlyMountCannotWrite) {
@@ -550,6 +516,12 @@ capsule::Record sample_record() {
   return writer.append(to_bytes("payload"), 1);
 }
 
+/// Golden-byte pin for the authenticated responses: any change to the
+/// serialized layout (body, evidence, authenticator) changes this digest.
+std::string sha256_hex(const Bytes& b) {
+  return hex_encode(crypto::digest_to_bytes(crypto::sha256(b)));
+}
+
 /// Serializes, re-parses, and sweeps truncations expecting rejection —
 /// the PR8/PR9 wire-fuzz idiom.
 template <typename Msg>
@@ -608,6 +580,8 @@ TEST(SclWire, CasNackFuzz) {
   wire::CasNackMsg tampered = msg;
   tampered.tip_seqno = 13;
   EXPECT_NE(tampered.signed_body(), msg.signed_body());
+  EXPECT_EQ(sha256_hex(msg.serialize()),
+            "6e0f7da3bcc673e7c049650843e3cc418965b613025a6e8aef12025a34210186");
 }
 
 TEST(SclWire, LeaseRequestFuzz) {
@@ -648,6 +622,8 @@ TEST(SclWire, LeaseGrantFuzz) {
   wire::LeaseGrantMsg tampered = msg;
   tampered.holder = name_of(11);
   EXPECT_NE(tampered.signed_body(), msg.signed_body());
+  EXPECT_EQ(sha256_hex(msg.serialize()),
+            "aa12cb180f81ff639cb427767f1867e14eb5259a287fa537c6846d1da33f9f61");
 }
 
 TEST(SclWire, WriterCredentialFuzz) {

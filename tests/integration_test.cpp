@@ -360,6 +360,71 @@ TEST(Integration, InTransitTamperingDetected) {
   EXPECT_GT(srv->appends_rejected() + /*unparseable count*/ 1, rejected_before);
 }
 
+// Flips the last payload byte — the tail of the authenticator — of every
+// §V-authenticated response on the server->router link, and checks that
+// each response kind fails verification at the client.
+void expect_authenticator_tamper_detected(bool use_sessions) {
+  Scenario s(use_sessions ? 14 : 15, "auth-tail");
+  auto* global = s.add_domain("global", nullptr);
+  auto* r1 = s.add_router("r1", global);
+  auto* srv = s.add_server("srv", r1);
+  client::GdpClient::Options opts;
+  opts.use_sessions = use_sessions;
+  auto* cli = s.add_client("writer", r1, net::LinkParams::lan(), opts);
+  s.attach_all();
+  CapsuleSetup setup = make_capsule(s.key_rng(), "auth-tail");
+  ASSERT_TRUE(place_capsule(s, setup, *cli, {srv}).ok());
+  capsule::Writer writer = setup.make_writer();
+  auto clean = await(s.sim(), cli->append(writer, to_bytes("clean")));
+  ASSERT_TRUE(clean.ok()) << clean.error().to_string();
+  EXPECT_EQ(clean->via_hmac, use_sessions);
+
+  s.net().set_interceptor(
+      srv->name(), r1->name(), [](const wire::Pdu& pdu) -> std::optional<wire::Pdu> {
+        wire::Pdu bad = pdu;
+        const bool authenticated = pdu.type == wire::MsgType::kAppendAck ||
+                                   pdu.type == wire::MsgType::kReadResponse ||
+                                   pdu.type == wire::MsgType::kCasNack ||
+                                   pdu.type == wire::MsgType::kLeaseGrant;
+        if (authenticated && !bad.payload.empty()) bad.payload.back() ^= 0x01;
+        return bad;
+      });
+  const Name wrong_tip = setup.metadata.name();
+  auto cas = [&](std::uint64_t lease_id) {
+    return cli->cond_append(setup.metadata,
+                            writer.append(to_bytes("cas"), s.sim().now().count()),
+                            /*expected_tip_seqno=*/999, wrong_tip,
+                            /*required_acks=*/1, lease_id);
+  };
+
+  EXPECT_EQ(await(s.sim(), cli->append(writer, to_bytes("dirty"))).code(),
+            Errc::kVerificationFailed);
+  EXPECT_EQ(await(s.sim(), cli->read_latest(setup.metadata)).code(),
+            Errc::kVerificationFailed);
+  EXPECT_EQ(await(s.sim(), cas(0)).code(), Errc::kVerificationFailed);
+  EXPECT_EQ(await(s.sim(), cli->lease_acquire(setup.metadata, from_seconds(5))).code(),
+            Errc::kVerificationFailed);
+
+  // Control: untampered, the same requests yield a grant (the holder
+  // re-acquires its own lease) and a tip-conflict CasNack.
+  s.net().clear_interceptor(srv->name(), r1->name());
+  auto grant = await(s.sim(), cli->lease_acquire(setup.metadata, from_seconds(5)));
+  ASSERT_TRUE(grant.ok()) << grant.error().to_string();
+  EXPECT_TRUE(grant->granted);
+  auto nack = await(s.sim(), cas(grant->lease_id));
+  ASSERT_TRUE(nack.ok()) << nack.error().to_string();
+  EXPECT_FALSE(nack->won);
+  EXPECT_EQ(nack->code, Errc::kConflict);
+}
+
+TEST(Integration, AuthenticatorTamperDetectedWithSessions) {
+  expect_authenticator_tamper_detected(/*use_sessions=*/true);
+}
+
+TEST(Integration, AuthenticatorTamperDetectedSessionless) {
+  expect_authenticator_tamper_detected(/*use_sessions=*/false);
+}
+
 TEST(Integration, ReplayedPdusAreHarmless) {
   Scenario s(13, "replay");
   auto* global = s.add_domain("global", nullptr);

@@ -6,6 +6,7 @@
 #include "capsule/strategy.hpp"
 #include "capsule/writer.hpp"
 #include "common/rng.hpp"
+#include "crypto/sha256.hpp"
 #include "net/sim.hpp"
 #include "wire/messages.hpp"
 
@@ -27,6 +28,12 @@ capsule::Record sample_record() {
   static capsule::Writer writer(*metadata, writer_key,
                                 capsule::make_chain_strategy());
   return writer.append(to_bytes("sample"), 1);
+}
+
+/// Golden-byte pin for the authenticated responses: any change to the
+/// serialized layout (body, evidence, authenticator) changes this digest.
+std::string sha256_hex(const Bytes& b) {
+  return hex_encode(crypto::digest_to_bytes(crypto::sha256(b)));
 }
 
 /// Serializes, re-parses, and also sweeps truncations expecting rejection.
@@ -114,6 +121,8 @@ TEST(WireMessages, AppendAck) {
   AppendAckMsg changed = msg;
   changed.acks = 4;
   EXPECT_NE(changed.signed_body(), msg.signed_body());
+  EXPECT_EQ(sha256_hex(msg.serialize()),
+            "0559f89ad5af078b060561886e6ee8c3a98f9ac9531075faf08328a089e6a5bb");
 }
 
 TEST(WireMessages, ReadResponse) {
@@ -129,6 +138,8 @@ TEST(WireMessages, ReadResponse) {
   auto back = round_trip_and_truncate(msg);
   EXPECT_EQ(back.error, msg.error);
   EXPECT_EQ(back.auth.bytes, msg.auth.bytes);
+  EXPECT_EQ(sha256_hex(msg.serialize()),
+            "a233e190c5c6140bbf67c88361f829d175fc908da66f7ec082a0deb75ffaccdd");
 }
 
 TEST(WireMessages, Publish) {
